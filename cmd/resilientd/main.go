@@ -36,6 +36,8 @@ import (
 	"resilientft/internal/ftm"
 	"resilientft/internal/host"
 	"resilientft/internal/mgmt"
+	"resilientft/internal/monitor"
+	"resilientft/internal/resilience"
 	"resilientft/internal/rpc"
 	"resilientft/internal/slo"
 	"resilientft/internal/stablestore"
@@ -178,7 +180,7 @@ func run() error {
 
 	// Per-shard SLO engine: burn-rate accounting over the rpc layer's
 	// per-shard series, a diagnostic bundle (black box + pprof) on every
-	// page-grade breach, and — with -slo-degrade — an adaptation reactor
+	// page-grade breach, and — with -slo-degrade — one resilience loop
 	// per shard that sheds the FTM while the budget burns.
 	var sloEng *slo.Engine
 	if *sloOn {
@@ -195,12 +197,11 @@ func run() error {
 		defer sloEng.Stop()
 		srv.SetSLO(sloEng)
 		if *sloDegrade {
-			mgr := adaptation.NewShardManager(engine)
 			for _, r := range replicas {
-				mgr.ManageSLOReplica(r, sloEng, adaptation.SLOPolicy{Interval: *sloEvery})
+				mon := sloLoop(r, sloEng, engine)
+				mon.Start()
+				defer mon.Stop()
 			}
-			mgr.StartAll()
-			defer mgr.StopAll()
 		}
 	}
 
@@ -241,4 +242,46 @@ func run() error {
 	fmt.Println("resilientd: shutting down")
 	h.Crash()
 	return nil
+}
+
+// SLO recovery hysteresis: a degraded shard returns to its FTM once it
+// holds at least sloRecoverBudget of its error budget with a clean grade
+// for sloQuiet.
+const (
+	sloRecoverBudget = 0.5
+	sloQuiet         = 30 * time.Second
+)
+
+// sloLoop wires one replica's resilience loop: the shard's paging edge
+// and its recovered budget are monitor rules firing the bandwidth-drop /
+// bandwidth-increase pair into the replica's Resilience Management
+// Service, which applies a transition only along a Figure 8 edge the
+// (FT, A, R) model allows and reverts only what it degraded itself.
+// Polling at the SLO tick, the returned monitor is the loop's only
+// goroutine once started.
+func sloLoop(r *ftm.Replica, eng *slo.Engine, engine *adaptation.Engine) *monitor.Engine {
+	svc := resilience.New(resilience.Config{
+		Target:     resilience.ReplicaTarget(engine, r),
+		FaultModel: core.MustLookup(r.FTM()).Tolerates,
+		Traits:     resilience.TraitsOf(r.App()),
+		Manager:    &resilience.Reverter{},
+	})
+	shard := rpc.ShardLabel(r.Group())
+	page, budget := "slo-page-"+shard, "slo-budget-"+shard
+	every := eng.Interval()
+	mon := monitor.New(every, svc.Sink())
+	mon.AddProbe(monitor.SLOBreachProbe(page, func() bool { return eng.Paging(shard) }))
+	mon.AddProbe(monitor.SLOBudgetProbe(budget, func() (float64, bool) {
+		s, ok := eng.Snapshot(shard)
+		return s.BudgetRemaining, ok && s.Grade == slo.GradeOK
+	}))
+	mon.AddRule(monitor.Rule{
+		Name: page, Probe: page, Cond: monitor.Above, Threshold: 0.5,
+		Trigger: core.TrigBandwidthDrop,
+	})
+	mon.AddRule(monitor.Rule{
+		Name: "slo-recovered-" + shard, Probe: budget, Cond: monitor.Above, Threshold: sloRecoverBudget,
+		Consecutive: int(sloQuiet / every), Trigger: core.TrigBandwidthIncrease,
+	})
+	return mon
 }

@@ -82,7 +82,7 @@ func TestPublicAPIResilienceLoop(t *testing.T) {
 	defer sys.Shutdown()
 
 	svc := NewResilience(ResilienceConfig{
-		System:     sys,
+		Target:     SystemTarget(nil, sys),
 		FaultModel: NewFaultModel(FaultCrash),
 		Traits:     AppTraits{Deterministic: true, StateAccess: true},
 		Manager:    AutoApprove{},

@@ -1,42 +1,26 @@
 package adaptation
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"time"
 
-	"resilientft/internal/core"
-	"resilientft/internal/ftm"
 	"resilientft/internal/host"
 	"resilientft/internal/telemetry"
 )
 
-// Health-fed adaptation: the decisions below consume the graded host
+// Health-fed placement: the decision below consumes the graded host
 // health model (worst-of collector verdicts, freshly measured) instead
-// of declared resource numbers. Two decision kinds close the paper's
-// (FT, A, R) loop from measurement: placement — an Unhealthy host is
-// not given a slave — and FTM selection — a master whose own health
-// degrades sheds the bandwidth-hungry checkpointing FTM for a cheaper
-// one. Every decision is counted and traced.
+// of declared resource numbers — an Unhealthy host is not given a
+// slave. Every decision is counted and traced. FTM selection from
+// measured health is the resilience package's job: health verdicts are
+// monitor probes whose rules feed its (FT, A, R) check.
 
-// healthDecision counts one adaptation decision made from measured
-// health, split by decision kind.
-func healthDecision(decision string) *telemetry.Counter {
-	return telemetry.Default().Counter("adaptation_health_decision_total", "decision", decision)
-}
-
-// shardDecision counts the same decisions per replica group, so a
-// sharded deployment's dashboards attribute adaptations to shards.
-func shardDecision(group, decision string) *telemetry.Counter {
-	return telemetry.Default().Counter("adaptation_shard_decision_total", "shard", group, "decision", decision)
-}
-
-// decided records one decision on both series and the event trace.
+// decided records one placement decision on the event trace and on the
+// decision series: split by kind, and per replica group so a sharded
+// deployment's dashboards attribute placements to shards.
 func decided(group, decision string, kv ...string) {
-	healthDecision(decision).Inc()
+	telemetry.Default().Counter("adaptation_health_decision_total", "decision", decision).Inc()
 	if group != "" {
-		shardDecision(group, decision).Inc()
+		telemetry.Default().Counter("adaptation_shard_decision_total", "shard", group, "decision", decision).Inc()
 		kv = append(kv, "shard", group)
 	}
 	telemetry.Emit("adaptation", decision, 0, kv...)
@@ -46,24 +30,15 @@ func decided(group, decision string, kv ...string) {
 // Unhealthy.
 var ErrNoHealthyHost = fmt.Errorf("adaptation: no healthy candidate host")
 
-// ChooseSlaveHost picks the healthiest candidate for slave placement,
-// running each candidate's collectors for a fresh verdict. Unhealthy
-// hosts are never chosen (each avoidance is a counted decision); among
-// the rest the best verdict wins, earliest candidate breaking ties, so
-// a Degraded host is still usable when nothing Healthy remains. With
-// only Unhealthy candidates it returns ErrNoHealthyHost — refusing a
-// placement is itself the decision.
-func ChooseSlaveHost(candidates []*host.Host) (*host.Host, error) {
-	return chooseSlaveHost("", candidates)
-}
-
-// ChooseSlaveHostFor is ChooseSlaveHost with its decisions attributed
-// to one replica group on the shard-labeled decision series.
-func ChooseSlaveHostFor(group string, candidates []*host.Host) (*host.Host, error) {
-	return chooseSlaveHost(group, candidates)
-}
-
-func chooseSlaveHost(group string, candidates []*host.Host) (*host.Host, error) {
+// ChooseSlaveHost picks the healthiest candidate for slave placement in
+// one replica group (empty: unsharded), running each candidate's
+// collectors for a fresh verdict. Unhealthy hosts are never chosen
+// (each avoidance is a counted decision, attributed to the group on the
+// shard-labeled series); among the rest the best verdict wins, earliest
+// candidate breaking ties, so a Degraded host is still usable when
+// nothing Healthy remains. With only Unhealthy candidates it returns
+// ErrNoHealthyHost — refusing a placement is itself the decision.
+func ChooseSlaveHost(group string, candidates []*host.Host) (*host.Host, error) {
 	var best *host.Host
 	bestVerdict := host.Unhealthy
 	for _, h := range candidates {
@@ -97,105 +72,4 @@ func lastCause(hm *host.HealthMonitor) string {
 		return rep.Transitions[n-1].Cause
 	}
 	return ""
-}
-
-// HealthReactor degrades a system's FTM when the master's measured
-// health crosses a verdict threshold: the canonical move is PBR→LFR —
-// checkpointing load is shed from a struggling master while crash
-// tolerance is kept. The reactor is edge-acting: it transitions only
-// when the system is not already in the target FTM, so a persistently
-// bad verdict produces one transition, not a storm.
-type HealthReactor struct {
-	engine *Engine
-	sys    *ftm.System
-	// group attributes this reactor's decisions to one replica shard on
-	// the shard-labeled decision series (empty: unsharded).
-	group string
-	// DegradeAt is the verdict at which the reactor acts (default
-	// Unhealthy; Degraded makes it eager).
-	degradeAt host.Verdict
-	to        core.ID
-
-	mu   sync.Mutex
-	stop chan struct{}
-	done chan struct{}
-}
-
-// NewHealthReactor returns a reactor moving sys to the FTM `to` when
-// the master host's health reaches degradeAt.
-func NewHealthReactor(engine *Engine, sys *ftm.System, degradeAt host.Verdict, to core.ID) *HealthReactor {
-	return NewHealthReactorFor(engine, sys, "", degradeAt, to)
-}
-
-// NewHealthReactorFor is NewHealthReactor for one replica group of a
-// sharded deployment.
-func NewHealthReactorFor(engine *Engine, sys *ftm.System, group string, degradeAt host.Verdict, to core.ID) *HealthReactor {
-	if engine == nil {
-		engine = NewEngine(nil)
-	}
-	return &HealthReactor{engine: engine, sys: sys, group: group, degradeAt: degradeAt, to: to}
-}
-
-// React measures the master's health once and transitions the system
-// if the verdict warrants it. It returns the transition report and
-// whether a transition was attempted.
-func (hr *HealthReactor) React(ctx context.Context) (*Report, bool, error) {
-	master := hr.sys.Master()
-	if master == nil {
-		return nil, false, nil
-	}
-	h := master.Host()
-	verdict := h.Health().Check()
-	if verdict < hr.degradeAt || master.FTM() == hr.to {
-		return nil, false, nil
-	}
-	from := master.FTM()
-	decided(hr.group, "ftm-degrade",
-		"host", h.Name(), "verdict", verdict.String(),
-		"from", string(from), "to", string(hr.to),
-		"cause", lastCause(h.Health()))
-	report, err := hr.engine.TransitionSystem(ctx, hr.sys, hr.to)
-	return report, true, err
-}
-
-// Start polls React at the given interval until Stop.
-func (hr *HealthReactor) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	hr.mu.Lock()
-	if hr.stop != nil {
-		hr.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	hr.stop, hr.done = stop, done
-	hr.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				_, _, _ = hr.React(context.Background())
-			}
-		}
-	}()
-}
-
-// Stop halts the polling loop.
-func (hr *HealthReactor) Stop() {
-	hr.mu.Lock()
-	stop, done := hr.stop, hr.done
-	hr.stop, hr.done = nil, nil
-	hr.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
 }

@@ -3,9 +3,11 @@ package adaptation
 import (
 	"context"
 	"testing"
+	"time"
 
 	"resilientft/internal/component"
 	"resilientft/internal/core"
+	"resilientft/internal/ftm"
 	"resilientft/internal/host"
 	"resilientft/internal/telemetry"
 	"resilientft/internal/transport"
@@ -32,7 +34,7 @@ func TestChooseSlaveHostAvoidsUnhealthy(t *testing.T) {
 	placed := telemetry.Default().Counter("adaptation_health_decision_total", "decision", "place-slave").Value()
 	mark := telemetry.DefaultTracer().Mark()
 
-	got, err := ChooseSlaveHost([]*host.Host{sick, well})
+	got, err := ChooseSlaveHost("", []*host.Host{sick, well})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestChooseSlaveHostPrefersHealthyOverDegraded(t *testing.T) {
 	degraded.Resources().SetEnergy(0.1) // Degraded, not Unhealthy
 	healthy := healthTestHost(t, "fresh")
 
-	got, err := ChooseSlaveHost([]*host.Host{degraded, healthy})
+	got, err := ChooseSlaveHost("", []*host.Host{degraded, healthy})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func TestChooseSlaveHostPrefersHealthyOverDegraded(t *testing.T) {
 	}
 
 	// With only the degraded host left it is still usable.
-	got, err = ChooseSlaveHost([]*host.Host{degraded})
+	got, err = ChooseSlaveHost("", []*host.Host{degraded})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,71 +84,39 @@ func TestChooseSlaveHostPrefersHealthyOverDegraded(t *testing.T) {
 func TestChooseSlaveHostRefusesWhenAllUnhealthy(t *testing.T) {
 	sick := healthTestHost(t, "sick2")
 	sick.Resources().SetCPUFree(0.0)
-	if _, err := ChooseSlaveHost([]*host.Host{sick, nil}); err != ErrNoHealthyHost {
+	if _, err := ChooseSlaveHost("", []*host.Host{sick, nil}); err != ErrNoHealthyHost {
 		t.Fatalf("err = %v, want ErrNoHealthyHost", err)
 	}
 }
 
-// TestHealthReactorDegradesPBRToLFR: the tentpole's automated decision
-// — a PBR system whose master host measures Unhealthy transitions to
-// LFR, driven end to end by the health sweep, with the decision counted
-// and traced. A second React is a no-op (edge-acting, no storm).
-func TestHealthReactorDegradesPBRToLFR(t *testing.T) {
-	s := newSystem(t, core.PBR)
-	c, err := s.NewClient()
+// TestChooseSlaveHostForLabelsDecisions checks that placement in a
+// named replica group records its avoidances and choice per shard.
+func TestChooseSlaveHostForLabelsDecisions(t *testing.T) {
+	s, err := ftm.NewShardedSystem(context.Background(), ftm.ShardedConfig{
+		System:            "place",
+		FTM:               core.PBR,
+		Shards:            1,
+		HeartbeatInterval: time.Hour,
+		SuspectTimeout:    24 * time.Hour,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	invoke(t, c, "set:x", 7)
+	t.Cleanup(s.Shutdown)
 
-	hr := NewHealthReactor(nil, s, host.Unhealthy, core.LFR)
-
-	// Healthy master: no action.
-	if _, acted, err := hr.React(context.Background()); err != nil || acted {
-		t.Fatalf("reactor acted on a healthy master (acted=%v err=%v)", acted, err)
-	}
-
-	// Starve the master host's energy; the next sweep measures
-	// Unhealthy and the reactor sheds PBR.
-	decisions := telemetry.Default().Counter("adaptation_health_decision_total", "decision", "ftm-degrade").Value()
-	mark := telemetry.DefaultTracer().Mark()
-	s.Master().Host().Resources().SetEnergy(0.01)
-
-	report, acted, err := hr.React(context.Background())
+	hosts := s.Group(0).Hosts()
+	hosts[0].Resources().SetCPUFree(0.01) // unhealthy: must be avoided
+	got, err := ChooseSlaveHost("0", []*host.Host{hosts[0], hosts[1]})
 	if err != nil {
-		t.Fatalf("React: %v", err)
+		t.Fatal(err)
 	}
-	if !acted || report == nil || !report.Succeeded() {
-		t.Fatalf("reactor did not transition (acted=%v report=%+v)", acted, report)
+	if got != hosts[1] {
+		t.Fatalf("chose %s, want %s", got.Name(), hosts[1].Name())
 	}
-	for _, r := range s.Replicas() {
-		if r.FTM() != core.LFR {
-			t.Fatalf("replica %s FTM = %s, want lfr", r.Host().Name(), r.FTM())
+	for _, decision := range []string{"avoid-unhealthy", "place-slave"} {
+		c, ok := telemetry.Default().FindCounter("adaptation_shard_decision_total", "shard", "0", "decision", decision)
+		if !ok || c.Value() == 0 {
+			t.Fatalf("shard-labeled %s decision not recorded", decision)
 		}
-	}
-	if v := telemetry.Default().Counter("adaptation_health_decision_total", "decision", "ftm-degrade").Value(); v != decisions+1 {
-		t.Fatalf("ftm-degrade decisions = %d, want %d", v, decisions+1)
-	}
-	var traced bool
-	for _, e := range telemetry.DefaultTracer().Since(mark) {
-		if e.Kind == "adaptation" && e.Name == "ftm-degrade" && e.Attrs["to"] == "lfr" {
-			traced = true
-			if e.Attrs["cause"] == "" {
-				t.Fatal("degrade decision traced without a cause")
-			}
-		}
-	}
-	if !traced {
-		t.Fatal("ftm-degrade emitted no trace event")
-	}
-
-	// Still unhealthy, already in LFR: no second transition.
-	if _, acted, err := hr.React(context.Background()); err != nil || acted {
-		t.Fatalf("reactor re-fired in the target FTM (acted=%v err=%v)", acted, err)
-	}
-
-	// The system still serves after the health-driven transition.
-	if got := invoke(t, c, "get:x", 0); got != 7 {
-		t.Fatalf("get:x = %d after degrade transition, want 7", got)
 	}
 }

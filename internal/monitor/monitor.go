@@ -121,6 +121,12 @@ type ruleState struct {
 	fired bool
 }
 
+// Sink receives the trigger of each fired rule, with the rule's name.
+// It returns true when handling the trigger failed (a transition that
+// did not execute): the rule re-arms, so the next poll that still sees
+// its condition fires it again instead of waiting for a new episode.
+type Sink func(rule string, t core.Trigger) (rearm bool)
+
 // Engine is the Monitoring Engine: it polls probes, evaluates rules and
 // emits triggers to its sink (typically the Resilience Management
 // Service).
@@ -129,7 +135,7 @@ type Engine struct {
 	probes map[string]Probe
 	rules  []Rule
 	states []ruleState
-	sink   func(core.Trigger)
+	sink   Sink
 	fired  []core.Trigger
 
 	interval time.Duration
@@ -141,7 +147,7 @@ type Engine struct {
 
 // New returns an engine polling at interval and delivering triggers to
 // sink (which may be nil; fired triggers are always also recorded).
-func New(interval time.Duration, sink func(core.Trigger)) *Engine {
+func New(interval time.Duration, sink Sink) *Engine {
 	if interval <= 0 {
 		interval = 50 * time.Millisecond
 	}
@@ -205,6 +211,7 @@ func (e *Engine) Poll() []core.Trigger {
 	e.mu.Unlock()
 
 	var out []core.Trigger
+	var firing []eval
 	for _, ev := range evals {
 		sample := ev.probe.Sample()
 		e.mu.Lock()
@@ -215,6 +222,7 @@ func (e *Engine) Poll() []core.Trigger {
 				st.fired = true
 				out = append(out, ev.rule.Trigger)
 				e.fired = append(e.fired, ev.rule.Trigger)
+				firing = append(firing, ev)
 			}
 		} else {
 			st.count = 0
@@ -223,8 +231,12 @@ func (e *Engine) Poll() []core.Trigger {
 		e.mu.Unlock()
 	}
 	if e.sink != nil {
-		for _, t := range out {
-			e.sink(t)
+		for _, ev := range firing {
+			if e.sink(ev.rule.Name, ev.rule.Trigger) {
+				e.mu.Lock()
+				e.states[ev.idx].fired = false
+				e.mu.Unlock()
+			}
 		}
 	}
 	return out

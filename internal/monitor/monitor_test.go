@@ -98,18 +98,49 @@ func TestSinkReceivesTriggers(t *testing.T) {
 	res := host.NewResources(100, 0.9, 1.0)
 	var mu sync.Mutex
 	var got []core.Trigger
-	e := New(time.Hour, func(tr core.Trigger) {
+	var rules []string
+	e := New(time.Hour, func(rule string, tr core.Trigger) bool {
 		mu.Lock()
 		defer mu.Unlock()
 		got = append(got, tr)
+		rules = append(rules, rule)
+		return false
 	})
 	e.AddProbe(BandwidthProbe("bw", res))
-	e.AddRule(Rule{Probe: "bw", Cond: Below, Threshold: 1000, Trigger: core.TrigBandwidthDrop})
+	e.AddRule(Rule{Name: "bw-low", Probe: "bw", Cond: Below, Threshold: 1000, Trigger: core.TrigBandwidthDrop})
 	e.Poll()
 	mu.Lock()
 	defer mu.Unlock()
 	if len(got) != 1 || got[0] != core.TrigBandwidthDrop {
 		t.Fatalf("sink received %v", got)
+	}
+	if len(rules) != 1 || rules[0] != "bw-low" {
+		t.Fatalf("sink saw rules %v, want [bw-low]", rules)
+	}
+}
+
+// A sink that reports a failed handling re-arms its rule: the next poll
+// that still sees the condition fires the trigger again, and a handled
+// trigger stays edge-triggered.
+func TestSinkRearmRefiresWhileConditionHolds(t *testing.T) {
+	res := host.NewResources(100, 0.9, 1.0)
+	calls, fail := 0, 2
+	e := New(time.Hour, func(string, core.Trigger) bool {
+		calls++
+		return calls <= fail
+	})
+	e.AddProbe(BandwidthProbe("bw", res))
+	e.AddRule(Rule{Name: "bw-low", Probe: "bw", Cond: Below, Threshold: 1000, Consecutive: 2, Trigger: core.TrigBandwidthDrop})
+	for i := 0; i < 6; i++ {
+		e.Poll()
+	}
+	// Poll 2 fires (Consecutive 2), polls 3 and 4 retry the two failures,
+	// poll 4's success disarms the rule for the rest of the episode.
+	if calls != 3 {
+		t.Fatalf("sink called %d times, want 3", calls)
+	}
+	if got := len(e.Fired()); got != 3 {
+		t.Fatalf("fired %d triggers, want 3", got)
 	}
 }
 

@@ -22,6 +22,25 @@ func SLOBreachProbe(name string, paging func() bool) Probe {
 	}}
 }
 
+// SLOBudgetProbe samples the remaining error-budget fraction while
+// budget() reports a clean grade, and 0 otherwise, so a rule
+// `Above B, Consecutive N` fires once the shard has stopped burning,
+// holds at least B of its budget, and has stayed so for N polls — the
+// recovery hysteresis. Wire it with the slo engine's Snapshot:
+//
+//	monitor.SLOBudgetProbe("slo-budget-0", func() (float64, bool) {
+//		s, ok := eng.Snapshot("0")
+//		return s.BudgetRemaining, ok && s.Grade == slo.GradeOK
+//	})
+func SLOBudgetProbe(name string, budget func() (remaining float64, clean bool)) Probe {
+	return ProbeFunc{ProbeName: name, Fn: func() float64 {
+		if remaining, clean := budget(); clean {
+			return remaining
+		}
+		return 0
+	}}
+}
+
 // BurnRateProbe samples an error-budget burn rate (1.0 = spending the
 // budget exactly at the sustainable pace), for rules that want their
 // own thresholds rather than the engine's page/warn grading. Wire it

@@ -21,6 +21,18 @@ func TestSLOBreachProbeSamplesPaging(t *testing.T) {
 	}
 }
 
+func TestSLOBudgetProbeSamplesOnlyCleanBudget(t *testing.T) {
+	remaining, clean := 0.8, false
+	p := SLOBudgetProbe("slo-budget-0", func() (float64, bool) { return remaining, clean })
+	if got := p.Sample(); got != 0 {
+		t.Fatalf("unclean sample = %v, want 0", got)
+	}
+	clean = true
+	if got := p.Sample(); got != 0.8 {
+		t.Fatalf("clean sample = %v, want 0.8", got)
+	}
+}
+
 func TestBurnRateProbeSamplesBurn(t *testing.T) {
 	burn := 0.0
 	p := BurnRateProbe("slo-burn-0", func() float64 { return burn })
@@ -39,7 +51,7 @@ func TestBurnRateProbeSamplesBurn(t *testing.T) {
 func TestSLOBreachRuleFiresOncePerEpisode(t *testing.T) {
 	paging := false
 	var fired []core.Trigger
-	e := New(0, func(tr core.Trigger) { fired = append(fired, tr) })
+	e := New(0, func(_ string, tr core.Trigger) bool { fired = append(fired, tr); return false })
 	e.AddProbe(SLOBreachProbe("slo-page", func() bool { return paging }))
 	e.AddRule(Rule{
 		Name:        "slo-page-confirmed",

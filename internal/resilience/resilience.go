@@ -10,12 +10,16 @@ package resilience
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
 	"resilientft/internal/adaptation"
+	"resilientft/internal/appstate"
 	"resilientft/internal/core"
 	"resilientft/internal/ftm"
+	"resilientft/internal/rpc"
+	"resilientft/internal/telemetry"
 )
 
 // SystemManager is the man-in-the-loop deciding whether to execute a
@@ -46,6 +50,119 @@ type ManagerFunc func(edge core.ScenarioEdge) bool
 // ApprovePossible calls the function.
 func (f ManagerFunc) ApprovePossible(edge core.ScenarioEdge) bool { return f(edge) }
 
+// Reverter is the system manager of an automatic loop: it approves a
+// possible transition only when that transition reverses the last
+// mandatory transition the service executed. An adaptation the loop
+// made is undone once its cause clears; a deployment that started in
+// the cheaper FTM is never moved by it. The zero value is ready to use.
+type Reverter struct {
+	mu   sync.Mutex
+	last *core.ScenarioEdge
+}
+
+// ApprovePossible approves the reverse of the last executed mandatory
+// transition.
+func (r *Reverter) ApprovePossible(edge core.ScenarioEdge) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.last != nil && edge.From == r.last.To && edge.To == r.last.From
+}
+
+// executed records a transition the service carried out: a mandatory
+// one becomes revertible, a possible one (the revert) consumes it.
+func (r *Reverter) executed(edge core.ScenarioEdge) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if edge.Kind == core.Mandatory {
+		r.last = &edge
+	} else {
+		r.last = nil
+	}
+}
+
+// Target is the deployment a service adapts: it reports the deployed
+// FTM and carries out transitions through the Adaptation Engine.
+type Target interface {
+	// Group is the replica group (shard) protected; empty when
+	// unsharded.
+	Group() string
+	// FTM returns the deployed mechanism.
+	FTM() (core.ID, error)
+	// Transition moves the deployment to the FTM to.
+	Transition(ctx context.Context, to core.ID) error
+}
+
+// SystemTarget adapts both replicas of a two-replica system (a fresh
+// engine when eng is nil).
+func SystemTarget(eng *adaptation.Engine, sys *ftm.System) Target {
+	if eng == nil {
+		eng = adaptation.NewEngine(nil)
+	}
+	return systemTarget{eng: eng, sys: sys}
+}
+
+type systemTarget struct {
+	eng *adaptation.Engine
+	sys *ftm.System
+}
+
+func (t systemTarget) Group() string { return t.sys.Replicas()[0].Group() }
+
+// FTM reads the live master's mechanism, or a surviving replica's
+// mid-failover.
+func (t systemTarget) FTM() (core.ID, error) {
+	if m := t.sys.Master(); m != nil {
+		return m.FTM(), nil
+	}
+	for _, r := range t.sys.Replicas() {
+		if r != nil && !r.Host().Crashed() {
+			return r.FTM(), nil
+		}
+	}
+	return "", fmt.Errorf("resilience: no live replica")
+}
+
+func (t systemTarget) Transition(ctx context.Context, to core.ID) error {
+	_, err := t.eng.TransitionSystem(ctx, t.sys, to)
+	return err
+}
+
+// ReplicaTarget adapts one daemon replica (a fresh engine when eng is
+// nil): each process transitions its own replica, peers run their own
+// loops.
+func ReplicaTarget(eng *adaptation.Engine, r *ftm.Replica) Target {
+	if eng == nil {
+		eng = adaptation.NewEngine(nil)
+	}
+	return replicaTarget{eng: eng, r: r}
+}
+
+type replicaTarget struct {
+	eng *adaptation.Engine
+	r   *ftm.Replica
+}
+
+func (t replicaTarget) Group() string { return t.r.Group() }
+
+func (t replicaTarget) FTM() (core.ID, error) {
+	if t.r.Host().Crashed() {
+		return "", fmt.Errorf("resilience: replica %s crashed", t.r.Host().Name())
+	}
+	return t.r.FTM(), nil
+}
+
+func (t replicaTarget) Transition(ctx context.Context, to core.ID) error {
+	return t.eng.TransitionReplica(ctx, t.r, to).Err
+}
+
+// TraitsOf derives the A characteristics from the protected
+// application itself: its declared determinism, and state access
+// unless its state manager is opaque.
+func TraitsOf(app ftm.Application) core.AppTraits {
+	_, opaque := app.StateManager().(appstate.Opaque)
+	return core.AppTraits{Deterministic: app.Deterministic(), StateAccess: !opaque}
+}
+
 // Action classifies the outcome of handling one trigger.
 type Action string
 
@@ -69,6 +186,9 @@ const (
 
 // Decision records how one trigger was handled.
 type Decision struct {
+	// Rule names the monitoring rule that fired the trigger (empty for
+	// a trigger handed in directly).
+	Rule    string
 	Trigger core.Trigger
 	From    core.ScenState
 	Edge    *core.ScenarioEdge
@@ -85,6 +205,9 @@ type Decision struct {
 // String renders the decision.
 func (d Decision) String() string {
 	s := fmt.Sprintf("%s @ %s: %s", d.Trigger, d.From, d.Action)
+	if d.Rule != "" {
+		s = d.Rule + ": " + s
+	}
 	if d.Action == ActionTransition {
 		s += fmt.Sprintf(" (%s -> %s)", d.FromFTM, d.ToFTM)
 	}
@@ -96,8 +219,8 @@ func (d Decision) String() string {
 
 // Config assembles a resilience service.
 type Config struct {
-	System *ftm.System
-	Engine *adaptation.Engine
+	// Target is the deployment adapted.
+	Target Target
 	// FaultModel is the initially required fault model.
 	FaultModel core.FaultModel
 	// Traits are the application's initial characteristics.
@@ -111,11 +234,14 @@ type Config struct {
 	Manager SystemManager
 }
 
+// maxDecisions bounds the decision log: a long-lived service whose
+// failing trigger re-arms records a decision every poll.
+const maxDecisions = 256
+
 // Service is the Resilience Management Service.
 type Service struct {
 	mu        sync.Mutex
-	sys       *ftm.System
-	engine    *adaptation.Engine
+	target    Target
 	ft        core.FaultModel
 	traits    core.AppTraits
 	res       core.ResourceState
@@ -135,15 +261,11 @@ func New(cfg Config) *Service {
 	if cfg.Thresholds == (core.Thresholds{}) {
 		cfg.Thresholds = core.DefaultThresholds()
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = adaptation.NewEngine(nil)
-	}
 	if cfg.Resources.Hosts == 0 {
 		cfg.Resources = core.ResourceState{BandwidthKbps: 10_000, CPUFree: 0.9, Energy: 1, Hosts: 2}
 	}
 	return &Service{
-		sys:     cfg.System,
-		engine:  cfg.Engine,
+		target:  cfg.Target,
 		ft:      cfg.FaultModel,
 		traits:  cfg.Traits,
 		res:     cfg.Resources,
@@ -152,17 +274,20 @@ func New(cfg Config) *Service {
 	}
 }
 
-// Sink returns a trigger sink for the monitoring engine, delivering into
-// HandleTrigger with a background context.
-func (s *Service) Sink() func(core.Trigger) {
-	return func(t core.Trigger) {
+// Sink returns a trigger sink for the monitoring engine: each fired
+// rule is handled with a background context and recorded under the
+// rule's name. A failed transition re-arms the rule, so the next poll
+// that still sees the condition retries it.
+func (s *Service) Sink() func(rule string, t core.Trigger) bool {
+	return func(rule string, t core.Trigger) bool {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		s.HandleTrigger(ctx, t)
+		return s.handle(ctx, rule, t).Action == ActionFailed
 	}
 }
 
-// Decisions returns the decision log.
+// Decisions returns the decision log, oldest first: the newest
+// maxDecisions entries.
 func (s *Service) Decisions() []Decision {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -184,23 +309,10 @@ func (s *Service) SetResources(r core.ResourceState) {
 	s.res = r
 }
 
-// currentFTM reads the live master's mechanism.
-func (s *Service) currentFTM() (core.ID, error) {
-	if m := s.sys.Master(); m != nil {
-		return m.FTM(), nil
-	}
-	for _, r := range s.sys.Replicas() {
-		if r != nil && !r.Host().Crashed() {
-			return r.FTM(), nil
-		}
-	}
-	return "", fmt.Errorf("resilience: no live replica")
-}
-
 // CheckConsistency validates the deployed FTM against the current
 // (FT, A, R) model.
 func (s *Service) CheckConsistency() ([]core.Inconsistency, error) {
-	id, err := s.currentFTM()
+	id, err := s.target.FTM()
 	if err != nil {
 		return nil, err
 	}
@@ -258,41 +370,65 @@ func (s *Service) applyTrigger(t core.Trigger) {
 // (FT, A, R) model, resolves the Figure 8 edge for the current state,
 // and executes or declines the corresponding transition.
 func (s *Service) HandleTrigger(ctx context.Context, trigger core.Trigger) Decision {
-	s.mu.Lock()
-	d := Decision{Trigger: trigger, At: time.Now()}
+	return s.handle(ctx, "", trigger)
+}
 
-	var state core.ScenState
-	if s.deadEnd {
-		state = core.StNone
-	} else {
-		id, err := s.currentFTMLocked()
+// handle decides one trigger, checks the resulting deployment's
+// consistency, and records, counts and traces the decision.
+func (s *Service) handle(ctx context.Context, rule string, trigger core.Trigger) Decision {
+	d := s.decide(ctx, Decision{Rule: rule, Trigger: trigger, At: time.Now()})
+	if inc, err := s.CheckConsistency(); err == nil {
+		d.Inconsistencies = inc
+	}
+	shard := rpc.ShardLabel(s.target.Group())
+	telemetry.Default().Counter("resilience_decisions_total", "shard", shard, "action", string(d.Action)).Inc()
+	kv := []string{"shard", shard, "rule", rule, "trigger", string(trigger), "state", string(d.From),
+		"from", string(d.FromFTM), "to", string(d.ToFTM)}
+	if d.Err != nil {
+		kv = append(kv, "err", d.Err.Error())
+	}
+	if len(d.Inconsistencies) > 0 {
+		details := make([]string, len(d.Inconsistencies))
+		for i, inc := range d.Inconsistencies {
+			details[i] = inc.Param + ": " + inc.Detail
+		}
+		kv = append(kv, "inconsistencies", strings.Join(details, "; "))
+	}
+	telemetry.Emit("resilience", string(d.Action), 0, kv...)
+
+	s.mu.Lock()
+	s.decisions = append(s.decisions, d)
+	if n := len(s.decisions); n > maxDecisions {
+		s.decisions = s.decisions[n-maxDecisions:]
+	}
+	s.mu.Unlock()
+	return d
+}
+
+// decide resolves the trigger in d against the Figure 8 edges leaving
+// the deployed FTM's state and executes, declines or skips the edge.
+func (s *Service) decide(ctx context.Context, d Decision) Decision {
+	s.mu.Lock()
+	state := core.StNone
+	if !s.deadEnd {
+		id, err := s.target.FTM()
+		if err == nil {
+			d.FromFTM = id
+			state, err = core.StateFor(id, s.traits)
+		}
 		if err != nil {
+			s.mu.Unlock()
 			d.Err = err
 			d.Action = ActionFailed
-			s.decisions = append(s.decisions, d)
-			s.mu.Unlock()
 			return d
 		}
-		d.FromFTM = id
-		st, err := core.StateFor(id, s.traits)
-		if err != nil {
-			d.Err = err
-			d.Action = ActionFailed
-			s.decisions = append(s.decisions, d)
-			s.mu.Unlock()
-			return d
-		}
-		state = st
 	}
 	d.From = state
-	s.applyTrigger(trigger)
+	s.applyTrigger(d.Trigger)
 	traits := s.traits
 
-	edges := core.Outgoing(state, trigger)
-	var chosen *core.ScenarioEdge
-	var intra *core.ScenarioEdge
-	for i := range edges {
-		e := edges[i]
+	var chosen, intra *core.ScenarioEdge
+	for _, e := range core.Outgoing(state, d.Trigger) {
 		switch e.Kind {
 		case core.Mandatory, core.Possible:
 			if chosen == nil {
@@ -311,33 +447,22 @@ func (s *Service) HandleTrigger(ctx context.Context, trigger core.Trigger) Decis
 	case chosen == nil:
 		d.Edge = intra
 		d.Action = ActionIntra
+	case chosen.Kind == core.Possible && !manager.ApprovePossible(*chosen):
+		// Declined: fall back to the intra-FTM edge when one exists.
+		d.Edge = chosen
+		d.Action = ActionDeclined
+		if intra != nil {
+			d.Edge = intra
+			d.Action = ActionIntra
+		}
 	default:
 		d.Edge = chosen
-		if chosen.Kind == core.Possible && !manager.ApprovePossible(*chosen) {
-			// Declined: fall back to the intra-FTM edge when one exists.
-			if intra != nil {
-				d.Edge = intra
-				d.Action = ActionIntra
-			} else {
-				d.Action = ActionDeclined
-			}
-		} else {
-			d = s.executeEdge(ctx, d, *chosen, traits)
+		d = s.executeEdge(ctx, d, *chosen, traits)
+		if r, ok := manager.(*Reverter); ok && d.Action == ActionTransition {
+			r.executed(*chosen)
 		}
 	}
-
-	if inc, err := s.CheckConsistency(); err == nil {
-		d.Inconsistencies = inc
-	}
-	s.mu.Lock()
-	s.decisions = append(s.decisions, d)
-	s.mu.Unlock()
 	return d
-}
-
-func (s *Service) currentFTMLocked() (core.ID, error) {
-	// currentFTM does not touch s.mu; safe to call with it held.
-	return s.currentFTM()
 }
 
 // executeEdge runs the transition an edge prescribes.
@@ -360,7 +485,7 @@ func (s *Service) executeEdge(ctx context.Context, d Decision, edge core.Scenari
 		d.Action = ActionIntra
 		return d
 	}
-	if _, err := s.engine.TransitionSystem(ctx, s.sys, target); err != nil {
+	if err := s.target.Transition(ctx, target); err != nil {
 		d.Action = ActionFailed
 		d.Err = err
 		return d

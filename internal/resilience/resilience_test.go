@@ -25,8 +25,7 @@ func newService(t *testing.T, ftmID core.ID, mgr SystemManager) (*Service, *ftm.
 	}
 	t.Cleanup(s.Shutdown)
 	svc := New(Config{
-		System:     s,
-		Engine:     adaptation.NewEngine(nil),
+		Target:     SystemTarget(adaptation.NewEngine(nil), s),
 		FaultModel: core.NewFaultModel(core.FaultCrash),
 		Traits:     core.AppTraits{Deterministic: true, StateAccess: true},
 		Manager:    mgr,
@@ -335,7 +334,7 @@ func TestCurrentFTMFallsBackToSlave(t *testing.T) {
 	}
 	t.Cleanup(slow.Shutdown)
 	svc2 := New(Config{
-		System:     slow,
+		Target:     SystemTarget(nil, slow),
 		FaultModel: core.NewFaultModel(core.FaultCrash),
 		Traits:     core.AppTraits{Deterministic: true, StateAccess: true},
 	})

@@ -95,8 +95,7 @@ func TestScenarioGraphWalk(t *testing.T) {
 			defer sys.Shutdown()
 
 			svc := New(Config{
-				System:     sys,
-				Engine:     adaptation.NewEngine(nil),
+				Target:     SystemTarget(adaptation.NewEngine(nil), sys),
 				FaultModel: core.MustLookup(startFTM).Tolerates,
 				Traits:     traits,
 				Manager:    AutoApprove{},

@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"resilientft/internal/adaptation"
 	"resilientft/internal/appstate"
 	"resilientft/internal/core"
 	"resilientft/internal/ftm"
+	"resilientft/internal/monitor"
+	"resilientft/internal/resilience"
 	"resilientft/internal/rpc"
 	"resilientft/internal/slo"
 	"resilientft/internal/stablestore"
@@ -45,7 +46,7 @@ func (a *slowApp) Deterministic() bool { return a.calc.Deterministic() }
 // TestSLOBreachDrill is the end-to-end drill the ISSUE specifies: a
 // live PBR pair is driven past its latency objective, the engine pages
 // within the fast windows, the diagnostic bundle (black box + pprof)
-// lands in stable storage, the SLO reactor degrades the shard to LFR
+// lands in stable storage, the resilience loop degrades the shard to LFR
 // with a traced cause, and — once the injected slowness is lifted and
 // the budget refills — recovers it back to PBR.
 func TestSLOBreachDrill(t *testing.T) {
@@ -86,15 +87,30 @@ func TestSLOBreachDrill(t *testing.T) {
 	eng.Start()
 	defer eng.Stop()
 
-	mgr := adaptation.NewShardManager(nil)
-	mgr.ManageSLO(group, sys, eng, adaptation.SLOPolicy{
-		DegradeTo:     core.LFR,
-		RecoverBudget: 0.9,
-		RecoverAfter:  300 * time.Millisecond,
-		Interval:      20 * time.Millisecond,
+	// The resilience loop: paging and a recovered budget are monitor
+	// rules whose triggers the group's Resilience Management Service maps
+	// onto Figure 8 edges; the Reverter undoes only its own degrade.
+	svc := resilience.New(resilience.Config{
+		Target:     resilience.SystemTarget(nil, sys),
+		FaultModel: core.NewFaultModel(core.FaultCrash),
+		Traits:     resilience.TraitsOf(app),
+		Manager:    &resilience.Reverter{},
 	})
-	mgr.StartAll()
-	defer mgr.StopAll()
+	pageRule, recoverRule := "slo-page-"+group, "slo-recovered-"+group
+	mon := monitor.New(20*time.Millisecond, svc.Sink())
+	mon.AddProbe(monitor.SLOBreachProbe("page", func() bool { return eng.Paging(group) }))
+	mon.AddProbe(monitor.SLOBudgetProbe("budget", func() (float64, bool) {
+		s, ok := eng.Snapshot(group)
+		return s.BudgetRemaining, ok && s.Grade == slo.GradeOK
+	}))
+	mon.AddRule(monitor.Rule{Name: pageRule, Probe: "page", Cond: monitor.Above, Threshold: 0.5,
+		Trigger: core.TrigBandwidthDrop})
+	// Recovery hysteresis: 90% of the budget back and a clean grade for
+	// 15 polls (300ms).
+	mon.AddRule(monitor.Rule{Name: recoverRule, Probe: "budget", Cond: monitor.Above, Threshold: 0.9,
+		Consecutive: 15, Trigger: core.TrigBandwidthIncrease})
+	mon.Start()
+	defer mon.Stop()
 
 	// Background traffic for the whole drill; errors during transitions
 	// are part of the scenario, not failures.
@@ -132,29 +148,41 @@ func TestSLOBreachDrill(t *testing.T) {
 
 	// Phase 1 — inject 10ms of per-request slowness: every request
 	// lands far past the ~4.2ms objective, both fast windows burn at
-	// ~1000x, and the reactor degrades the shard to LFR.
+	// ~1000x, and the loop degrades the shard to LFR.
 	app.delay.Store(int64(10 * time.Millisecond))
-	waitFor("degrade to LFR", 10*time.Second, func() bool {
-		m := sys.Master()
-		return m != nil && m.FTM() == core.LFR
-	})
+	// transitioned reports that the loop recorded an executed transition
+	// to the FTM to, fired by rule, and that the live master runs it.
+	transitioned := func(rule string, to core.ID) bool {
+		if m := sys.Master(); m == nil || m.FTM() != to {
+			return false
+		}
+		for _, d := range svc.Decisions() {
+			if d.Rule == rule && d.Action == resilience.ActionTransition && d.ToFTM == to {
+				return true
+			}
+		}
+		return false
+	}
+	waitFor("degrade to LFR", 10*time.Second, func() bool { return transitioned(pageRule, core.LFR) })
 
 	reg := telemetry.Default()
 	if c, ok := reg.FindCounter("slo_breaches_total", "shard", group, "grade", "page"); !ok || c.Value() == 0 {
 		t.Fatal("no page-grade breach counted")
 	}
-	if c, ok := reg.FindCounter("adaptation_shard_decision_total", "shard", group, "decision", "slo-degrade"); !ok || c.Value() == 0 {
+	if c, ok := reg.FindCounter("resilience_decisions_total", "shard", group, "action", "transition-executed"); !ok || c.Value() == 0 {
 		t.Fatal("degrade decision not counted")
 	}
 
-	// The traced cause: the engine's breach event and the reactor's
-	// decision event, both carrying the shard.
+	// The traced cause: the engine's breach event and the loop's
+	// decision event, both carrying the shard, the decision naming the
+	// paging rule.
 	var sawBreach, sawDecision bool
 	for _, e := range telemetry.DefaultTracer().Since(0) {
 		if e.Kind == "slo" && e.Name == "breach" && e.Attrs["shard"] == group {
 			sawBreach = true
 		}
-		if e.Kind == "adaptation" && e.Name == "slo-degrade" && e.Attrs["shard"] == group {
+		if e.Kind == "resilience" && e.Name == "transition-executed" && e.Attrs["shard"] == group &&
+			e.Attrs["rule"] == pageRule && e.Attrs["to"] == "lfr" {
 			sawDecision = true
 		}
 	}
@@ -218,13 +246,10 @@ func TestSLOBreachDrill(t *testing.T) {
 
 	// Phase 3 — lift the slowness: the fast windows drain, the budget
 	// refills past the recovery threshold, and after the quiet period
-	// the reactor restores PBR.
+	// the loop restores PBR.
 	app.delay.Store(0)
-	waitFor("recovery to PBR", 20*time.Second, func() bool {
-		m := sys.Master()
-		return m != nil && m.FTM() == core.PBR
-	})
-	if c, ok := reg.FindCounter("adaptation_shard_decision_total", "shard", group, "decision", "slo-recover"); !ok || c.Value() == 0 {
-		t.Fatal("recover decision not counted")
+	waitFor("recovery to PBR", 20*time.Second, func() bool { return transitioned(recoverRule, core.PBR) })
+	if c, ok := reg.FindCounter("resilience_decisions_total", "shard", group, "action", "transition-executed"); !ok || c.Value() < 2 {
+		t.Fatalf("recover decision not counted: %v", svc.Decisions())
 	}
 }

@@ -9,10 +9,10 @@
 //
 // On a page-grade breach the engine fires its capture hook (the
 // diagnostic bundle: flight-recorder black box plus pprof profiles,
-// persisted via stablestore) and its breach hook (the adaptation
-// layer's SLO reactors). The engine only concludes and raises; what
-// to *do* about a burning shard is the Adaptation Engine's decision,
-// per the paper's separation of monitoring from adaptation.
+// persisted via stablestore) and its breach hook. The engine only
+// concludes and raises; what to *do* about a burning shard is the
+// resilience loop's decision — monitor probes read Paging and Snapshot
+// — per the paper's separation of monitoring from adaptation.
 package slo
 
 import (
@@ -359,7 +359,8 @@ type WindowStat struct {
 }
 
 // ShardSnapshot is one shard's full SLO standing: the /slo document's
-// per-shard row and the reading the adaptation reactors consume.
+// per-shard row and the reading the resilience loop's SLO probes
+// consume.
 type ShardSnapshot struct {
 	Shard           string        `json:"shard"`
 	Objective       Objective     `json:"objective"`

@@ -191,6 +191,10 @@ var BuildTransitionPackage = adaptation.BuildPackage
 // NewResilience returns the Resilience Management Service.
 func NewResilience(cfg ResilienceConfig) *Resilience { return resilience.New(cfg) }
 
+// SystemTarget points a resilience service at a two-replica system,
+// transitioned through the given Adaptation Engine (fresh when nil).
+var SystemTarget = resilience.SystemTarget
+
 // NewMonitor returns a Monitoring Engine.
 var NewMonitor = monitor.New
 
