@@ -483,9 +483,8 @@ func buildCheckpoint(ctx context.Context, state stateClient, log logClient, last
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("ftm: checkpoint log snapshot: %w", err)
 	}
-	// The reply-log snapshot travels fast-coded (a ResponseList), like
-	// the delta tails; gob survives only as the decode arm for frames
-	// from older primaries. Both intermediate buffers are copied into the
+	// The reply-log snapshot travels fast-coded as a ResponseList, like
+	// the delta tails. Both intermediate buffers are copied into the
 	// checkpoint envelope and recycled before returning.
 	logData, err := transport.EncodePooled(rpc.ResponseList(snap))
 	if err != nil {

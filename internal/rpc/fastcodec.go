@@ -172,9 +172,9 @@ func (r *Response) DecodeFast(data []byte) error {
 	return nil
 }
 
-// ResponseList is a fast-coded batch of responses: checkpoint-delta
-// reply-log tails travel as one of these. (Full checkpoint snapshots
-// stay gob-encoded []Response for wire compatibility across versions.)
+// ResponseList is a fast-coded batch of responses: the reply-log
+// snapshot of a full checkpoint and the reply-log tail of a delta
+// checkpoint both travel as one of these.
 type ResponseList []Response
 
 // AppendFast implements transport.FastMarshaler.

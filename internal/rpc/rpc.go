@@ -6,9 +6,10 @@
 package rpc
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"resilientft/internal/telemetry"
@@ -88,14 +89,25 @@ var (
 	ErrApp = errors.New("rpc: application error")
 )
 
-// clientRing is the per-client retention window: a seq-indexed ring of
-// the client's most recent responses. Slot seq%len holds the response
-// with the highest seq ever recorded for that residue, which is exactly
-// the "keep the newest perClient seqs" retention policy without any
-// scanning or sorting.
-type clientRing struct {
-	slots []Response
-	valid []bool
+// replySlot is one retained response. The client ID is the ring's map
+// key, so a slot does not repeat it, and the status is kept in 32 bits
+// (the protocol's statuses are a handful of small codes): with the used
+// flag folded in, a slot takes 56 bytes where a Response takes 80.
+type replySlot struct {
+	seq     uint64
+	payload []byte
+	err     string
+	status  int32
+	used    bool
+	// replayed is recorded, not just set on lookup: an assertion
+	// escalation logs the peer's reply, which the peer may have served
+	// from its own log.
+	replayed bool
+}
+
+func (s *replySlot) response(clientID string) Response {
+	return Response{ClientID: clientID, Seq: s.seq, Status: Status(s.status),
+		Payload: s.payload, Err: s.err, Replayed: s.replayed}
 }
 
 // ReplyLog is the at-most-once cache: the last response per client
@@ -104,14 +116,25 @@ type clientRing struct {
 // state: PBR ships it inside checkpoints, LFR maintains it on both
 // replicas.
 //
-// Lookup and Record are O(1) via per-client ring buffers. A bounded
-// journal of recent records, indexed by a monotonic mark, supports
-// SnapshotSince so delta checkpoints ship only the responses recorded
-// since the peer's last acknowledged mark.
+// Each client owns a ring of slots indexed by seq%perClient: slot i holds
+// the response with the highest seq ever recorded for residue i, which
+// is exactly the "keep the newest perClient seqs" retention policy with
+// no scanning or sorting, and makes Lookup and Record O(1). A ring is
+// grown lazily, geometrically, to cover the highest index the client has
+// reached (capped at perClient), so a short-lived client that sends a
+// handful of requests pays for a handful of slots, not the full window.
+// Restore reuses the rings in place: a full checkpoint applied to a warm
+// log allocates only for clients it has not seen before.
+//
+// A bounded journal of recent records, indexed by a monotonic mark,
+// supports SnapshotSince so delta checkpoints ship only the responses
+// recorded since the peer's last acknowledged mark.
 type ReplyLog struct {
 	mu        sync.Mutex
 	perClient int
-	rings     map[string]*clientRing
+	rings     map[string][]replySlot
+	// n counts the used slots across all rings.
+	n int
 
 	// mark counts records ever applied; the journal tail holds the
 	// records with indices [tailStart, mark).
@@ -133,7 +156,7 @@ func NewReplyLog(perClient int) *ReplyLog {
 	}
 	return &ReplyLog{
 		perClient: perClient,
-		rings:     make(map[string]*clientRing),
+		rings:     make(map[string][]replySlot),
 		tailMax:   tailMax,
 	}
 }
@@ -142,15 +165,12 @@ func NewReplyLog(perClient int) *ReplyLog {
 func (l *ReplyLog) Lookup(clientID string, seq uint64) (Response, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	ring := l.rings[clientID]
-	if ring == nil {
-		return Response{}, false
-	}
+	slots := l.rings[clientID]
 	i := int(seq % uint64(l.perClient))
-	if !ring.valid[i] || ring.slots[i].Seq != seq {
+	if i >= len(slots) || !slots[i].used || slots[i].seq != seq {
 		return Response{}, false
 	}
-	r := ring.slots[i]
+	r := slots[i].response(clientID)
 	r.Replayed = true
 	return r, true
 }
@@ -174,22 +194,23 @@ func (l *ReplyLog) RecordAll(resps []Response) {
 }
 
 func (l *ReplyLog) record(resp Response, journal bool) {
-	ring := l.rings[resp.ClientID]
-	if ring == nil {
-		ring = &clientRing{
-			slots: make([]Response, l.perClient),
-			valid: make([]bool, l.perClient),
-		}
-		l.rings[resp.ClientID] = ring
-	}
 	i := int(resp.Seq % uint64(l.perClient))
-	if ring.valid[i] && ring.slots[i].Seq > resp.Seq {
+	slots := l.rings[resp.ClientID]
+	if i >= len(slots) {
+		slots = l.grow(slots, i)
+		l.rings[resp.ClientID] = slots
+	}
+	s := &slots[i]
+	if s.used && s.seq > resp.Seq {
 		// A newer request already claimed the slot; under the retention
 		// bound the incoming response would have been evicted anyway.
 		return
 	}
-	ring.slots[i] = resp
-	ring.valid[i] = true
+	if !s.used {
+		l.n++
+	}
+	*s = replySlot{seq: resp.Seq, payload: resp.Payload, err: resp.Err,
+		status: int32(resp.Status), used: true, replayed: resp.Replayed}
 	if !journal {
 		return
 	}
@@ -201,6 +222,19 @@ func (l *ReplyLog) record(resp Response, journal bool) {
 		l.tail = append(l.tail[:0:0], l.tail[drop:]...)
 		l.tailStart += uint64(drop)
 	}
+}
+
+// grow returns slots extended to cover index i: to half again their
+// length, or to i+1 if that is further, capped at perClient (which i is
+// always below). Growing by half rather than doubling keeps the common
+// short client small: a client at seq 8 gets 9 slots (504 bytes), where
+// doubling would give it 16, and the allocator's header on objects past
+// 512 bytes would round those up to a 1 KiB block.
+func (l *ReplyLog) grow(slots []replySlot, i int) []replySlot {
+	n := min(max(i+1, len(slots)+len(slots)/2), l.perClient)
+	grown := make([]replySlot, n)
+	copy(grown, slots)
+	return grown
 }
 
 // Mark returns the journal position: the count of records applied so
@@ -230,15 +264,7 @@ func (l *ReplyLog) SnapshotSince(mark uint64) (tail []Response, newMark uint64, 
 func (l *ReplyLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for _, ring := range l.rings {
-		for _, v := range ring.valid {
-			if v {
-				n++
-			}
-		}
-	}
-	return n
+	return l.n
 }
 
 // Snapshot serializes the log for inclusion in a checkpoint. The
@@ -260,33 +286,49 @@ func (l *ReplyLog) SnapshotMarked() ([]Response, uint64) {
 }
 
 func (l *ReplyLog) snapshotLocked() []Response {
-	var out []Response
-	for _, ring := range l.rings {
-		for i, v := range ring.valid {
-			if v {
-				out = append(out, ring.slots[i])
+	ids := make([]string, 0, len(l.rings))
+	for id := range l.rings {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	out := make([]Response, 0, l.n)
+	for _, id := range ids {
+		from := len(out)
+		slots := l.rings[id]
+		for i := range slots {
+			if slots[i].used {
+				out = append(out, slots[i].response(id))
 			}
 		}
+		// Slot order is seq%perClient; a client whose seqs wrapped the
+		// ring needs its entries put back in seq order.
+		slices.SortFunc(out[from:], func(a, b Response) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ClientID != out[j].ClientID {
-			return out[i].ClientID < out[j].ClientID
-		}
-		return out[i].Seq < out[j].Seq
-	})
 	return out
 }
 
-// Restore replaces the log contents with a snapshot. The journal is
-// cleared (tailStart catches up to mark), so a SnapshotSince against a
+// Restore replaces the log contents with a snapshot. The rings are
+// cleared and refilled in place, and those of clients absent from the
+// snapshot are dropped, so restoring a checkpoint into a warm log
+// allocates only for clients it did not hold. The journal is cleared
+// (tailStart catches up to mark), so a SnapshotSince against a
 // pre-restore mark reports ok=false and forces a full snapshot.
 func (l *ReplyLog) Restore(snapshot []Response) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.rings = make(map[string]*clientRing, len(snapshot))
-	l.tail = nil
+	for _, slots := range l.rings {
+		clear(slots)
+	}
+	l.n = 0
+	clear(l.tail)
+	l.tail = l.tail[:0]
 	l.tailStart = l.mark
 	for _, r := range snapshot {
 		l.record(r, false)
+	}
+	for id, slots := range l.rings {
+		if !slices.ContainsFunc(slots, func(s replySlot) bool { return s.used }) {
+			delete(l.rings, id)
+		}
 	}
 }

@@ -255,6 +255,13 @@ func (e *Engine) SetObjective(shard string, obj Objective) {
 		s.gComp[i] = reg.Gauge("slo_compliance_ratio", "shard", shard, "window", label)
 	}
 	s.gBudget.Set(ppm(1))
+	// Traffic from before the declaration is not charged: the baseline
+	// is whatever the series already hold. A series the shard's traffic
+	// creates later starts from zero, so every request it counts is.
+	if h, ok := s.lat.Get(); ok {
+		s.lastLat = h.Snapshot()
+	}
+	s.lastErrs = s.errCount()
 	e.mu.Lock()
 	if _, ok := e.shards[shard]; !ok {
 		e.order = append(e.order, shard)
@@ -420,10 +427,8 @@ type shardEval struct {
 	lat  *telemetry.HistogramHandle
 	errs [2]*telemetry.CounterHandle
 
-	latPrimed bool
-	lastLat   telemetry.HistogramSnapshot
-	errPrimed bool
-	lastErrs  uint64
+	lastLat  telemetry.HistogramSnapshot
+	lastErrs uint64
 
 	ring   *budgetRing
 	latWin *latWindow
@@ -442,18 +447,23 @@ type shardEval struct {
 	cCaps   *telemetry.Counter
 }
 
-// tick gathers one interval's traffic, pushes it through the ring,
-// re-grades the shard and returns the hooks to fire (nil for none).
-// The first reading of each source primes its baseline, so traffic
-// from before the engine existed is not charged against the budget.
+// errCount sums the shard's error series; one that does not exist yet
+// reads zero.
+func (s *shardEval) errCount() uint64 {
+	var n uint64
+	for _, h := range s.errs {
+		n += h.Value()
+	}
+	return n
+}
+
+// tick gathers one interval's traffic since the previous tick (or since
+// the objective was declared), pushes it through the ring, re-grades the
+// shard and returns the hooks to fire (nil for none).
 func (s *shardEval) tick(e *Engine, now time.Time) []func() {
 	var b tickBucket
 	if h, ok := s.lat.Get(); ok {
 		snap := h.Snapshot()
-		if !s.latPrimed {
-			s.latPrimed = true
-			s.lastLat = snap
-		}
 		delta := snap.Delta(s.lastLat)
 		s.lastLat = snap
 		b.total = delta.Count
@@ -462,14 +472,7 @@ func (s *shardEval) tick(e *Engine, now time.Time) []func() {
 		}
 		s.latWin.push(delta)
 	}
-	var errs uint64
-	for _, h := range s.errs {
-		errs += h.Value()
-	}
-	if !s.errPrimed {
-		s.errPrimed = true
-		s.lastErrs = errs
-	}
+	errs := s.errCount()
 	if errs > s.lastErrs {
 		// Errors are also observed by the latency histogram, so total
 		// already includes them; a slow error must not count twice.

@@ -124,19 +124,44 @@ func TestZeroTrafficNeverPages(t *testing.T) {
 }
 
 func TestBaselinePriming(t *testing.T) {
-	e, lat, errs := testEngine(t, Config{})
-	// Traffic from before the first tick must not be charged.
+	// Traffic from before the objective was declared must not be charged.
+	reg := telemetry.NewRegistry()
+	lat := reg.Histogram(rpc.ShardLatencySeries, "shard", "0")
+	errs := reg.Counter(rpc.ShardResponsesSeries, "shard", "0", "status", "app-error")
 	for i := 0; i < 100; i++ {
 		lat.Observe(slowReq)
 	}
 	errs.Add(50)
+	e := New(Config{Registry: reg, Interval: time.Second})
+	e.SetObjective("0", Objective{LatencyP99: 1 << 20, Availability: 0.999})
 	e.Tick()
 	snap, _ := e.Snapshot("0")
 	if snap.Windows[0].Bad != 0 || snap.Windows[0].Total != 0 {
-		t.Fatalf("pre-engine traffic charged: %+v", snap.Windows[0])
+		t.Fatalf("pre-objective traffic charged: %+v", snap.Windows[0])
 	}
 	if snap.Grade != GradeOK {
-		t.Fatalf("graded %s off pre-engine traffic", snap.Grade)
+		t.Fatalf("graded %s off pre-objective traffic", snap.Grade)
+	}
+}
+
+// TestSeriesCreatedAfterDeclarationChargedFromZero pins the other half
+// of the baseline: when a shard's first requests create its latency and
+// error series after the objective exists, those requests are charged,
+// not taken as the baseline.
+func TestSeriesCreatedAfterDeclarationChargedFromZero(t *testing.T) {
+	e, lat, errs := testEngine(t, Config{}) // series created after SetObjective
+	for i := 0; i < 10; i++ {
+		lat.Observe(slowReq)
+	}
+	errs.Add(4)
+	e.Tick()
+	snap, _ := e.Snapshot("0")
+	if snap.Windows[0].Total != 10 || snap.Windows[0].Bad != 10 {
+		t.Fatalf("window = %d bad / %d total, want 10/10: the requests that created the series went uncharged",
+			snap.Windows[0].Bad, snap.Windows[0].Total)
+	}
+	if !e.Paging("0") {
+		t.Fatalf("graded %s after an all-slow first interval", snap.Grade)
 	}
 }
 
@@ -261,7 +286,6 @@ func TestExactBudgetExhaustionDoesNotPage(t *testing.T) {
 
 func TestErrorsCountAgainstBudgetOnce(t *testing.T) {
 	e, lat, errs := testEngine(t, Config{})
-	e.Tick() // prime both sources
 	// 10 requests, all of them slow errors: the histogram observed all
 	// 10 (slow) and the error counter grew by 10 — bad must cap at 10,
 	// not double to 20.
